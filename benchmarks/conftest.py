@@ -46,9 +46,9 @@ def _run_suites(suites):
 
     With ``REPRO_REQUIRE_CACHE_WARM=1`` (the CI warm run), the fixture
     fails unless every characterization was served from the persistent
-    cache — a 100% hit rate, zero misses.  A silent cache-key or
-    serialization regression would otherwise recompute everything and
-    still pass.
+    cache — a 100% hit rate, zero misses — and without generating a
+    single launch stream.  A silent cache-key or serialization
+    regression would otherwise recompute everything and still pass.
     """
     from repro.core import ResultCache
 
@@ -68,6 +68,14 @@ def _run_suites(suites):
                 f"{'+'.join(suites)} run was not fully cache-served: "
                 f"{stats.render()} (hit rate "
                 f"{stats.hit_rate:.0%}, want 100%)"
+            )
+            # A fully cache-served run must not generate a single
+            # stream either: digests come from the stream-digest records.
+            generated = report.run_profile.histograms.get("span.stream-gen_s")
+            assert generated is None, (
+                f"REPRO_REQUIRE_CACHE_WARM is set but the "
+                f"{'+'.join(suites)} run generated "
+                f"{int(generated['count'])} launch stream(s) on a warm cache"
             )
     return report
 

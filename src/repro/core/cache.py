@@ -312,6 +312,23 @@ def characterization_key(
     *workload_identity* (name/abbr/suite/domain) covers the metadata
     columns carried into Table I.
     """
+    return characterization_key_for_digest(
+        device, options, workload_identity, launch_stream_digest(launches)
+    )
+
+
+def characterization_key_for_digest(
+    device: DeviceSpec,
+    options: Any,
+    workload_identity: Dict[str, Any],
+    stream_digest: str,
+) -> str:
+    """:func:`characterization_key` from an already known stream digest.
+
+    The characterization path computes a stream's digest once (or reads
+    it from a :mod:`repro.core.streamcache` digest record) and keys
+    every device's result from it.
+    """
     return stable_digest(
         [
             "characterization",
@@ -319,6 +336,6 @@ def characterization_key(
             device,
             options,
             workload_identity,
-            launch_stream_digest(launches),
+            stream_digest,
         ]
     )

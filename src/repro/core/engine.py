@@ -14,7 +14,9 @@ orthogonal capabilities over the naive serial loop:
   :class:`~repro.core.characterize.Characterization` objects, keyed on
   content digests of ``(DeviceSpec, SimulationOptions, launch
   stream)``.  A warm run replays the suite from disk without touching
-  the timing model.
+  the timing model — or generating a stream: with a disk tier, each
+  workload's stream digest comes from a stream-digest record under
+  ``<cache_dir>/streams`` (see :mod:`repro.core.streamcache`).
 * **Fault tolerance** — every worker exception is captured into a
   structured :class:`~repro.core.resilience.WorkloadFailure` instead of
   aborting the suite; a :class:`~repro.core.resilience.RetryPolicy`
@@ -52,6 +54,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from repro.core.cache import CacheStats, ResultCache
 from repro.core.characterize import (
     Characterization,
+    StreamMemo,
     characterize,
     characterize_devices,
 )
@@ -109,6 +112,7 @@ def _characterize_one(
     device: DeviceSpec,
     options: SimulationOptions,
     cache_dir: Optional[str],
+    stream_cache_dir: Optional[str],
     attempt: int = 1,
     fault_plan: Optional["FaultPlan"] = None,
     handoff: Optional[TraceHandoff] = None,
@@ -118,8 +122,11 @@ def _characterize_one(
     """Worker body: characterize one workload from its identity.
 
     Module-level (picklable) so it can run inside a process pool; each
-    worker opens its own handle on the shared cache directory — entry
-    writes are atomic, so concurrent workers can share it safely.  The
+    worker opens its own handles on the shared cache directories — entry
+    writes are atomic, so concurrent workers can share them safely.  The
+    stream cache supplies the stream-digest record, so a workload whose
+    result is cached is never generated; only the record is written
+    back, never the stream payload.  The
     optional *fault_plan* hooks are strict no-ops when the plan is
     empty (the fault-free differential test pins this).
 
@@ -134,6 +141,9 @@ def _characterize_one(
     cache = ResultCache(cache_dir=cache_dir) if cache_dir else None
     if cache is not None:
         cache.tracer = tracer
+    stream_cache = (
+        StreamCache(cache_dir=stream_cache_dir) if stream_cache_dir else None
+    )
     try:
         with tracer.span(
             "attempt",
@@ -162,6 +172,7 @@ def _characterize_one(
                 profiler=profiler,
                 cache=cache,
                 tracer=tracer,
+                stream_cache=stream_cache,
             )
             if fault_plan is not None:
                 result = fault_plan.after(abbr, attempt, result, cache)
@@ -314,12 +325,13 @@ class CharacterizationEngine:
     proxy_audit_fraction: float = 0.05
     #: Optional device-independent launch-stream cache (see
     #: :mod:`repro.core.streamcache`).  When absent but ``cache`` has a
-    #: disk tier, sweeps derive one under ``<cache_dir>/streams``.
+    #: disk tier, runs derive one under ``<cache_dir>/streams``.
     stream_cache: Optional[StreamCache] = None
-    #: Per-run stream memo: ``id(workload) -> (workload, stream)``.  The
-    #: strong workload reference pins the id against reuse; entries live
-    #: for the engine's lifetime, so characterizing the same workload
-    #: object twice (e.g. on two devices) generates its stream once.
+    #: Per-engine stream memo: ``id(workload) -> (workload, StreamMemo)``.
+    #: The strong workload reference pins the id against reuse; entries
+    #: live for the engine's lifetime, so characterizing the same
+    #: workload object twice (e.g. on two devices) generates and hashes
+    #: its stream at most once.
     _stream_memo: Dict[int, tuple] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -352,21 +364,23 @@ class CharacterizationEngine:
         return getattr(self, "_run_proxy_bank", None)
 
     # -- single workload ----------------------------------------------
-    def memoized_stream(self, workload, profiler: Profiler):
-        """*workload*'s prepared stream, generated at most once per run."""
+    def _memo_for(self, workload) -> StreamMemo:
+        """The engine-lifetime stream memo of one workload object."""
         entry = self._stream_memo.get(id(workload))
-        if entry is not None and entry[0] is workload:
-            return entry[1]
-        stream = profiler.prepare_stream(workload)
-        self._stream_memo[id(workload)] = (workload, stream)
-        return stream
+        if entry is None or entry[0] is not workload:
+            entry = (workload, StreamMemo())
+            self._stream_memo[id(workload)] = entry
+        return entry[1]
 
     def characterize(self, workload) -> Characterization:
         """Characterize one instantiated workload (serial, cached).
 
-        Streams are memoized on the engine: calling this twice with the
-        same workload object — including with a different ``device`` set
-        between calls — pays stream generation once.
+        Resolved like every suite and sweep workload (see
+        :func:`~repro.core.characterize.characterize`): a warm result
+        needs no stream at all.  Streams are memoized on the engine:
+        calling this twice with the same workload object — including
+        with a different ``device`` set between calls — pays stream
+        generation and hashing once.
         """
         bank = self._engine_proxy_bank()
         profiler = Profiler(
@@ -377,13 +391,13 @@ class CharacterizationEngine:
                 proxy=bank.tier(self.device) if bank is not None else None,
             )
         )
-        stream = self.memoized_stream(workload, profiler)
         return characterize(
             workload,
             device=self.device,
             profiler=profiler,
             cache=self.cache,
-            stream=stream,
+            stream_cache=self._run_stream_cache(),
+            memo=self._memo_for(workload),
         )
 
     # -- whole suites --------------------------------------------------
@@ -537,8 +551,8 @@ class CharacterizationEngine:
             ]
         )
 
-    def _sweep_stream_cache(self) -> Optional[StreamCache]:
-        """The sweep's stream cache (explicit, derived, or None)."""
+    def _run_stream_cache(self) -> Optional[StreamCache]:
+        """The run's stream cache (explicit, derived, or None)."""
         if self.stream_cache is not None:
             return self.stream_cache
         if self.cache is not None and self.cache.cache_dir is not None:
@@ -548,7 +562,7 @@ class CharacterizationEngine:
         return None
 
     def _stream_cache_dir_arg(self) -> Optional[str]:
-        stream_cache = self._sweep_stream_cache()
+        stream_cache = self._run_stream_cache()
         if (
             stream_cache is not None
             and stream_cache.backend.cache_dir is not None
@@ -602,7 +616,7 @@ class CharacterizationEngine:
         if self.cache is not None and self.cache.tracer is None:
             self.cache.tracer = session.tracer
             restore_cache_tracer = True
-        stream_cache = self._sweep_stream_cache()
+        stream_cache = self._run_stream_cache()
         if stream_cache is not None and stream_cache.tracer is None:
             stream_cache.tracer = session.tracer
         try:
@@ -777,6 +791,7 @@ class CharacterizationEngine:
         tracer = self._tracer
         if run_one is None:
             bank = self._run_proxy
+            stream_cache = self._run_stream_cache()
             profiler = Profiler(
                 simulator=GPUSimulator(
                     self.device,
@@ -803,6 +818,7 @@ class CharacterizationEngine:
                     profiler=profiler,
                     cache=self.cache,
                     tracer=tracer,
+                    stream_cache=stream_cache,
                 )
                 if self.fault_plan is not None:
                     result = self.fault_plan.after(
@@ -908,8 +924,9 @@ class CharacterizationEngine:
         policy = self.retry_policy
         tracer = self._tracer
         session = self._obs
-        cache_dir = self._cache_dir_arg()
         if submit_task is None:
+            cache_dir = self._cache_dir_arg()
+            stream_cache_dir = self._stream_cache_dir_arg()
 
             def submit_task(pool, abbr: str, attempt: int, handoff):
                 return pool.submit(
@@ -920,6 +937,7 @@ class CharacterizationEngine:
                     self.device,
                     self.options,
                     cache_dir,
+                    stream_cache_dir,
                     attempt,
                     self.fault_plan,
                     handoff,

@@ -1,4 +1,4 @@
-"""Stream-level cache: launch streams keyed on workload identity alone.
+"""Stream-level cache: launch streams and their digests, keyed on workload identity.
 
 The result cache (:mod:`repro.core.cache`) memoizes *characterizations*
 under ``(device, options, workload, stream-digest)`` keys — one entry
@@ -7,23 +7,37 @@ completely device-independent and dominates a cold run's wall clock, so
 a device sweep that misses the result cache for a new device would
 regenerate every stream even though nothing about the stream changed.
 
-:class:`StreamCache` fills that gap: it persists the steady-state
-launch stream itself, keyed on the workload identity (name/abbr/suite/
-domain), its scale/seed, and the steady-state flag — **no device, no
-simulation options** — so any sweep or suite run over the same workload
-preset reuses the stream no matter which devices it targets.  Keys are
-deliberately disjoint from :func:`repro.core.cache.characterization_key`
-material (different tag, own schema version), so result-cache keys stay
-backward-compatible.
+:class:`StreamCache` fills that gap with two kinds of entry, both keyed
+on the workload identity (name/abbr/suite/domain), its scale/seed, its
+public constructor settings and the steady-state flag — **no device, no
+simulation options**:
 
-Staleness contract: the key does not hash the stream *content* (that
-would require generating it, defeating the point).  A change to a
-workload model that alters its stream MUST bump
-:data:`STREAM_CACHE_SCHEMA_VERSION` (or the global
-:data:`~repro.gpu.digest.CACHE_SCHEMA_VERSION`, which is folded in
-too).  The golden digest suite (``tests/golden``) regenerates streams
-from source and pins their digests, so a forgotten bump cannot slip
-through CI unnoticed.
+* the **stream payload** (tag ``"launch-stream"``): the steady-state
+  launch stream itself, which sweeps store so a new device never
+  regenerates it;
+* the **stream-digest record** (tag ``"stream-digest"``):
+  ``{"digest", "launches"}``, about 100 bytes.  It is all a warm run
+  needs to rebuild every device's result-cache key, so a run whose
+  results are all cached never generates, loads or hashes a stream.
+
+Keys are deliberately disjoint from
+:func:`repro.core.cache.characterization_key` material (different tag,
+own schema version), so result-cache keys stay backward-compatible.
+
+Staleness contract: a key cannot hash the stream *content* (that would
+require generating it, defeating the point).  Instead every key folds in
+:func:`generator_fingerprint` — a sha256 over the source of
+``repro/workloads/``, ``repro/profiler/`` and ``repro/gpu/kernel.py``
+plus the numpy version — so any edit to the code that generates or
+crops a stream moves every key and the old entries are simply never
+read again.  Only workloads whose class lives under ``repro.workloads``
+are covered by that fingerprint, so only they use this cache
+(:func:`uses_stream_cache`); any other workload is generated and hashed
+on every run.  As a last line of defence the characterization path
+re-checks a record whenever it has the stream in hand anyway (a result
+miss): it hashes the stream, and on a mismatch rewrites the record,
+counts ``streamcache.digest_mismatch`` and keys the results on the
+recomputed digest.
 
 Serialization is lossless: floats survive the JSON round trip
 bit-for-bit (repr-based encoding), kernels are stored once in a
@@ -34,11 +48,14 @@ and at least the same kernel-object sharing as the generated one.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.cache import ResultCache
-from repro.gpu.digest import CACHE_SCHEMA_VERSION, stable_digest
+from repro.gpu.digest import CACHE_SCHEMA_VERSION, canonicalize, stable_digest
 from repro.gpu.kernel import (
     InstructionMix,
     KernelCharacteristics,
@@ -50,13 +67,81 @@ from repro.gpu.kernel import (
 #: streams may be cached — changes incompatibly.
 STREAM_CACHE_SCHEMA_VERSION = 1
 
+#: Key tags of the two entry kinds a :class:`StreamCache` holds.
+STREAM_TAG = "launch-stream"
+DIGEST_RECORD_TAG = "stream-digest"
+
 __all__ = [
+    "DIGEST_RECORD_TAG",
     "STREAM_CACHE_SCHEMA_VERSION",
+    "STREAM_TAG",
     "StreamCache",
+    "generator_fingerprint",
     "launches_from_payload",
     "launches_to_payload",
     "stream_key",
+    "uses_stream_cache",
+    "workload_settings",
 ]
+
+_REPRO_ROOT = Path(__file__).resolve().parent.parent
+
+
+@functools.lru_cache(maxsize=None)
+def generator_fingerprint() -> str:
+    """sha256 of everything that determines a generated stream's content.
+
+    Covers every source file under ``repro/workloads/`` and
+    ``repro/profiler/``, ``repro/gpu/kernel.py`` and the numpy version
+    (the generators draw from numpy's RNGs).  Computed once per process
+    (a few milliseconds), on first use.
+    """
+    import numpy
+
+    files = sorted(
+        [
+            *(_REPRO_ROOT / "workloads").rglob("*.py"),
+            *(_REPRO_ROOT / "profiler").rglob("*.py"),
+            _REPRO_ROOT / "gpu" / "kernel.py",
+        ]
+    )
+    hasher = hashlib.sha256()
+    for path in files:
+        hasher.update(path.relative_to(_REPRO_ROOT).as_posix().encode())
+        hasher.update(b"\0")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\0")
+    hasher.update(f"numpy {numpy.__version__}".encode())
+    return hasher.hexdigest()
+
+
+def uses_stream_cache(workload: Any) -> bool:
+    """Whether *workload*'s stream is covered by :func:`generator_fingerprint`.
+
+    True only for workload classes defined under ``repro.workloads``; a
+    workload from anywhere else is generated and hashed every time.
+    """
+    return type(workload).__module__.startswith("repro.workloads.")
+
+
+def workload_settings(workload: Any) -> Dict[str, Any]:
+    """Public constructor settings of *workload* beyond identity/scale/seed.
+
+    Workloads accept settings such as ``iterations`` or ``source``; two
+    instances that differ in one must never share a stream key.  Every
+    public attribute with a canonical (hashable) form is included;
+    derived model objects (layers, optimizers) have none and are left
+    out — they follow from the settings that are in.
+    """
+    settings: Dict[str, Any] = {}
+    for name, value in sorted(vars(workload).items()):
+        if name.startswith("_") or name in ("info", "scale", "seed"):
+            continue
+        try:
+            settings[name] = canonicalize(value)
+        except TypeError:
+            continue
+    return settings
 
 
 def stream_key(
@@ -64,22 +149,28 @@ def stream_key(
     scale: float,
     seed: int,
     steady_state: bool = True,
+    settings: Optional[Dict[str, Any]] = None,
+    tag: str = STREAM_TAG,
 ) -> str:
     """Cache key for one workload's (cropped) launch stream.
 
     Device-free by design: the same entry serves every device of a
     sweep.  ``steady_state`` is part of the key because the profiler's
-    cropping changes which launches are measured.
+    cropping changes which launches are measured.  *tag* selects the
+    entry kind: the stream payload (:data:`STREAM_TAG`) or its digest
+    record (:data:`DIGEST_RECORD_TAG`).
     """
     return stable_digest(
         [
-            "launch-stream",
+            tag,
             CACHE_SCHEMA_VERSION,
             STREAM_CACHE_SCHEMA_VERSION,
+            generator_fingerprint(),
             workload_identity,
             scale,
             seed,
             steady_state,
+            settings or {},
         ]
     )
 
@@ -177,7 +268,7 @@ def launches_from_payload(payload: Dict[str, Any]) -> List[KernelLaunch]:
 
 @dataclass
 class StreamCache:
-    """Persistent launch-stream store (a thin :class:`ResultCache` skin).
+    """Persistent launch-stream and stream-digest store (a thin :class:`ResultCache` skin).
 
     Lives under its own directory (conventionally
     ``<cache_dir>/streams``) so stream entries and characterization
@@ -220,3 +311,16 @@ class StreamCache:
     def put(self, key: str, launches: Sequence[KernelLaunch]) -> None:
         """Store *launches* under *key* (atomic, crash-safe)."""
         self.backend.put(key, launches_to_payload(launches))
+
+    def get_digest(self, key: str) -> Optional[str]:
+        """The stream digest recorded under *key*, or ``None`` on a miss.
+
+        A record of the wrong shape is a miss (rewritten by the caller).
+        """
+        record = self.backend.get(key)
+        digest = record.get("digest") if record is not None else None
+        return digest if isinstance(digest, str) else None
+
+    def put_digest(self, key: str, digest: str, launches: int) -> None:
+        """Record *digest* (of a stream of *launches* launches) under *key*."""
+        self.backend.put(key, {"digest": digest, "launches": launches})

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.core.cache import characterization_key
+from repro.core import streamcache
 from repro.core.streamcache import (
+    DIGEST_RECORD_TAG,
     STREAM_CACHE_SCHEMA_VERSION,
     StreamCache,
     launches_from_payload,
     launches_to_payload,
     stream_key,
+    workload_settings,
 )
 from repro.gpu.digest import launch_stream_digest
 from repro.workloads import get_workload
@@ -50,6 +53,24 @@ class TestRoundTrip:
         again = StreamCache(cache_dir=tmp_path).get(key)
         assert again == stream
 
+    def test_digest_record_round_trip(self, stream, tmp_path):
+        cache = StreamCache(cache_dir=tmp_path)
+        key = stream_key(IDENTITY, 0.05, 7, tag=DIGEST_RECORD_TAG)
+        assert cache.get_digest(key) is None
+        cache.put_digest(key, launch_stream_digest(stream), len(stream))
+        again = StreamCache(cache_dir=tmp_path)
+        assert again.get_digest(key) == launch_stream_digest(stream)
+        assert again.backend.get(key) == {
+            "digest": launch_stream_digest(stream),
+            "launches": len(stream),
+        }
+
+    def test_malformed_record_is_a_miss(self, tmp_path):
+        cache = StreamCache(cache_dir=tmp_path)
+        key = stream_key(IDENTITY, 0.05, 7, tag=DIGEST_RECORD_TAG)
+        cache.backend.put(key, {"digest": 12, "launches": 3})
+        assert cache.get_digest(key) is None
+
 
 class TestKeys:
     def test_key_varies_with_every_component(self):
@@ -59,6 +80,31 @@ class TestKeys:
         assert base != stream_key(IDENTITY, 0.05, 7, steady_state=False)
         other = dict(IDENTITY, abbr="LMR")
         assert base != stream_key(other, 0.05, 7)
+        assert base != stream_key(IDENTITY, 0.05, 7, settings={"steps": 9})
+        assert base != stream_key(IDENTITY, 0.05, 7, tag=DIGEST_RECORD_TAG)
+
+    def test_generator_fingerprint_is_folded_in(self, monkeypatch):
+        """An edit to the generator code moves every stream key, so a
+        stale stream or digest record is never read."""
+        base = stream_key(IDENTITY, 0.05, 7)
+        record = stream_key(IDENTITY, 0.05, 7, tag=DIGEST_RECORD_TAG)
+        monkeypatch.setattr(
+            streamcache, "generator_fingerprint", lambda: "edited"
+        )
+        assert stream_key(IDENTITY, 0.05, 7) != base
+        assert stream_key(IDENTITY, 0.05, 7, tag=DIGEST_RECORD_TAG) != record
+
+    def test_generator_fingerprint_is_computed_once(self):
+        first = streamcache.generator_fingerprint()
+        assert len(first) == 64
+        assert streamcache.generator_fingerprint.cache_info().currsize == 1
+        assert streamcache.generator_fingerprint() == first
+
+    def test_workload_settings_cover_constructor_arguments(self):
+        default = get_workload("GST", scale=0.05)
+        moved = type(default)(scale=0.05, source=7)
+        assert workload_settings(default) != workload_settings(moved)
+        assert "source" in workload_settings(default)
 
     def test_disjoint_from_characterization_keys(self, stream):
         """Stream keys can never collide with result-cache keys even in
